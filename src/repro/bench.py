@@ -6,8 +6,10 @@ diff:
 
 * **compile** — seconds to compile each benchmark per environment, with
   every cache layer disabled (the honest front-to-back pipeline cost);
-* **emulation** — emulated instructions per second of the predecoded
-  interpreter on each benchmark (continuous power, WAR checking off);
+* **emulation** — emulated instructions per second on each benchmark
+  (continuous power), with WAR checking off and on (the mode
+  fault-injection campaigns use); every timing is repeated and reported
+  as min and median, plus the WAR-checking overhead;
 * **elision** — executed-checkpoint and total-cycle deltas of the
   certificate-guided elision environments (``wario-opt``,
   ``ratchet-opt``) against their baselines, with the statically elided
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,25 +72,51 @@ def bench_compile(quick: bool = False) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def bench_emulation(quick: bool = False) -> Dict[str, Dict[str, float]]:
-    """Emulated instructions per second per benchmark (wario build)."""
+#: timed runs per emulation measurement (min and median are reported)
+EMULATION_REPEATS = 5
+QUICK_EMULATION_REPEATS = 3
+
+
+def _timed_runs(program, war_check: bool, limit: int, repeats: int):
+    """``(stats of the last run, seconds of each run)``."""
+    seconds = []
+    for _ in range(repeats):
+        machine = Machine(program, war_check=war_check)
+        start = time.perf_counter()
+        stats = machine.run(max_instructions=limit)
+        seconds.append(time.perf_counter() - start)
+    return stats, seconds
+
+
+def bench_emulation(quick: bool = False) -> Dict[str, Dict[str, object]]:
+    """Emulated instructions per second per benchmark (wario build),
+    with WAR checking off and on."""
     benches = ["crc"] if quick else list(BENCHMARKS)
-    out: Dict[str, Dict[str, float]] = {}
+    repeats = QUICK_EMULATION_REPEATS if quick else EMULATION_REPEATS
+    out: Dict[str, Dict[str, object]] = {}
     for name in benches:
         bench = BENCHMARKS[name]
         program = compile_benchmark(bench, "wario")
         # warm-up run decodes the program and faults in every code path
-        Machine(program, war_check=False).run(
+        Machine(program, war_check=True).run(
             max_instructions=bench.max_instructions
         )
-        machine = Machine(program, war_check=False)
-        start = time.perf_counter()
-        stats = machine.run(max_instructions=bench.max_instructions)
-        elapsed = time.perf_counter() - start
-        out[name] = {
+        row: Dict[str, object] = {"repeats": repeats}
+        for mode, war_check in (("war_off", False), ("war_on", True)):
+            stats, seconds = _timed_runs(
+                program, war_check, bench.max_instructions, repeats)
+            row[mode] = {
+                "seconds_min": round(min(seconds), 4),
+                "seconds_median": round(statistics.median(seconds), 4),
+                "instrs_per_sec": round(stats.instructions / min(seconds)),
+            }
+        row["warcheck_overhead"] = round(
+            row["war_on"]["seconds_median"] / row["war_off"]["seconds_median"]
+            - 1.0, 3)
+        row.update({
             "instructions": stats.instructions,
-            "seconds": round(elapsed, 4),
-            "instrs_per_sec": round(stats.instructions / elapsed),
+            # the headline figure (WAR checking off, best run)
+            "instrs_per_sec": row["war_off"]["instrs_per_sec"],
             # largest observed inter-checkpoint gap: the dynamic side of
             # the static progress certificate, tracked per revision so
             # bound tightness drifts show up in BENCH_*.json diffs
@@ -95,7 +124,8 @@ def bench_emulation(quick: bool = False) -> Dict[str, Dict[str, float]]:
             # executed checkpoint count: the runtime quantity the
             # certificate-guided elision pass optimises
             "checkpoints_executed": stats.checkpoints,
-        }
+        })
+        out[name] = row
     return out
 
 
@@ -205,6 +235,9 @@ def render_report(path: str) -> str:
     for name, row in report["emulation"].items():
         region = row.get("max_region_cycles")
         suffix = f", max region {region:,} cycles" if region else ""
+        if "war_on" in row:
+            suffix = (f", {row['war_on']['instrs_per_sec']:,} with WAR "
+                      f"checking ({row['warcheck_overhead']:+.0%})") + suffix
         lines.append(
             f"emulate {name:<16} {row['instrs_per_sec']:>12,} instrs/s"
             f"{suffix}"

@@ -30,9 +30,17 @@ class Benchmark:
     reference: Callable[[], Dict[str, Union[int, List[int]]]]
     description: str = ""
     max_instructions: int = 30_000_000
+    _expected: Optional[Dict[str, Union[int, List[int]]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def expected(self) -> Dict[str, Union[int, List[int]]]:
-        return self.reference()
+        """The reference outputs.  The pure-Python reference runs once
+        per benchmark (a campaign checks every replay against it); each
+        call returns its own copy."""
+        if self._expected is None:
+            self._expected = self.reference()
+        return {name: list(value) if isinstance(value, list) else value
+                for name, value in self._expected.items()}
 
 
 class VerificationError(AssertionError):

@@ -47,6 +47,7 @@ import os
 import pickle
 import tempfile
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -270,8 +271,16 @@ class CacheReport:
         }
 
 
+#: entries the in-process layer of a :class:`CompileCache` keeps, least
+#: recently used evicted first.  Cached programs carry a 1 MiB memory
+#: image each, so an unbounded layer grows a long-lived server worker by
+#: ~0.5 MiB per fresh request; evicted entries are re-read from disk.
+MEMORY_ENTRIES = 128
+
+
 class CompileCache:
-    """A content-addressed blob store: in-memory dict over pickle files.
+    """A content-addressed blob store: a bounded in-memory LRU layer over
+    pickle files.
 
     Writes are atomic (``os.replace``), so concurrent workers of the
     parallel evaluation engine can share one directory; a corrupt or
@@ -280,7 +289,7 @@ class CompileCache:
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = os.path.abspath(directory or default_cache_dir())
-        self._memory: Dict[str, Any] = {}
+        self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -288,9 +297,21 @@ class CompileCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".pkl")
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry exists, without counting a hit or a miss."""
+        return key in self._memory or os.path.exists(self._path(key))
+
+    def _remember(self, key: str, payload: Any) -> None:
+        memory = self._memory
+        memory[key] = payload
+        memory.move_to_end(key)
+        if len(memory) > MEMORY_ENTRIES:
+            memory.popitem(last=False)
+
     def get(self, key: str) -> Optional[Any]:
         if key in self._memory:
             self.hits += 1
+            self._memory.move_to_end(key)
             return self._memory[key]
         path = self._path(key)
         try:
@@ -308,12 +329,12 @@ class CompileCache:
                 pass
             self.misses += 1
             return None
-        self._memory[key] = payload
+        self._remember(key, payload)
         self.hits += 1
         return payload
 
     def put(self, key: str, payload: Any) -> None:
-        self._memory[key] = payload
+        self._remember(key, payload)
         self.stores += 1
         try:
             os.makedirs(self.directory, exist_ok=True)
@@ -412,7 +433,7 @@ def resolve_cache(cache=None) -> Optional[CompileCache]:
 
 __all__ = [
     "ANALYSIS_VERSION_TAG", "COMPILER_VERSION_TAG", "CacheReport",
-    "CompileCache",
+    "CompileCache", "MEMORY_ENTRIES",
     "analyze_key", "cache_enabled", "compile_key", "default_cache_dir",
     "get_cache", "inject_key", "lint_key", "reset_cache", "resolve_cache",
     "run_key", "source_fingerprint", "version_tag",

@@ -9,6 +9,7 @@ from .machine import (
     EmulationError,
     EmulationLimit,
     Machine,
+    MachineSnapshot,
     NoForwardProgress,
 )
 from .power import (
@@ -26,7 +27,7 @@ from .warcheck import Violation, WARChecker
 
 __all__ = [
     "CostModel", "DEFAULT_COSTS",
-    "Machine", "EmulationError", "EmulationLimit", "NoForwardProgress",
+    "Machine", "MachineSnapshot", "EmulationError", "EmulationLimit", "NoForwardProgress",
     "PowerSupply", "ContinuousPower", "FixedPeriodPower", "TracePower",
     "SchedulePower", "SuddenDropPower",
     "trace_a", "trace_b",

@@ -19,10 +19,10 @@ the paper argue a power failure is dangerous:
 The trace is the input of :mod:`repro.faultinject.plan`, which aims
 deterministic failure schedules at each recorded instant.
 
-Tracing requires WAR checking (``war_check=True``): the fast
-interpreter's unchecked store paths bypass the :meth:`Machine.write_mem`
-hook, so an untraced-store trace would silently miss ``war-write``
-events.  :class:`~repro.emulator.machine.Machine` enforces this.
+Tracing requires WAR checking (``war_check=True``): with it off, stores
+bypass the :meth:`Machine.write_mem` hook, so a trace would silently
+miss ``war-write`` events.  :class:`~repro.emulator.machine.Machine`
+enforces this, and routes every store of a traced run through the hook.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ class Event(NamedTuple):
 class EventTrace:
     """Collects :class:`Event` values during one :class:`Machine` run.
 
-    The machine calls the ``on_*`` hooks from both interpreter loops at
-    points where ``stats.cycles`` is synchronised, so fast and reference
-    runs of the same program produce identical traces (see the parity
-    tests in ``tests/test_faultinject.py``).
+    The machine calls the ``on_*`` hooks at points where
+    ``stats.cycles`` is synchronised; ``tests/golden/event_traces.json``
+    pins the traces of a few runs.
     """
 
     def __init__(self) -> None:

@@ -9,11 +9,16 @@ The emulator optionally drives a :class:`~repro.emulator.power.PowerSupply`
 (power failures clear the registers and charge the boot + restore path),
 fires a periodic timer interrupt (hardware stacking through the WAR
 checker), and verifies the absence of WAR violations on every access.
+One interpreter loop carries all of it; ``tests/golden/`` pins its
+observable behaviour.  Runs can pause at a cycle and be snapshotted and
+resumed, which lets fault-injection campaigns share the failure-free
+prefix of their replays.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..backend.encoder import HALT_ADDRESS, Program, STACK_TOP
@@ -72,7 +77,7 @@ _ALU = {
 
 
 # ---------------------------------------------------------------------------
-# Predecoded instruction stream (the emulator fast path)
+# Predecoded instruction stream
 #
 # ``Machine.run`` dominates every evaluation: each emulated instruction
 # used to pay for attribute walks (``instr.opcode``, ``instr.ops``),
@@ -142,8 +147,8 @@ def _decode_program(program: Program, costs: CostModel) -> List[tuple]:
         try:
             cost = costs.cost_of(instr)
         except KeyError:
-            # Unknown opcode: keep the reference behaviour of failing
-            # only if the instruction is actually executed.
+            # Unknown opcode: fail only if the instruction is actually
+            # executed.
             decoded.append((K_BAD, 0, instr))
             continue
         ops = instr.ops
@@ -248,8 +253,50 @@ def _decoded_for(program: Program, costs: CostModel) -> List[tuple]:
     return decoded
 
 
+def _store_site(program: Program):
+    """``pc -> (function, source location)`` for WAR violation records."""
+    return lambda pc: (program.function_of_index[pc], program.instrs[pc].loc)
+
+
+#: a word's shadow mask after an aligned word load: every byte not yet
+#: accessed in the region becomes read-first (see :class:`WARChecker`)
+_READ_WORD = tuple(m | 15 & ~(m | m >> 4) for m in range(256))
+#: a word's shadow mask after an aligned word store that found no byte
+#: read-first: every byte is written-first
+_WRITTEN_WORD = 0xF0
+
+
+@dataclass(frozen=True)
+class MachineSnapshot:
+    """The complete state of a :class:`Machine` between two instructions
+    (see :meth:`Machine.snapshot`); restorable any number of times."""
+
+    memory: bytes
+    regs: Dict[str, int]
+    pc: int
+    last_cmp: Tuple[int, int]
+    interrupts_enabled: bool
+    pending_interrupt: bool
+    next_interrupt: Optional[int]
+    region_cycles: int
+    period_used: int
+    jit_fired: bool
+    checkpoint: tuple
+    failures_since_checkpoint: int
+    stats: ExecutionStats
+    #: ``(shadow words, violations, region index)``, None without WAR checking
+    war: Optional[tuple]
+
+
 class Machine:
-    """One emulated device executing one program."""
+    """One emulated device executing one program.
+
+    :meth:`run` interprets the predecoded instruction stream; WAR
+    checking, event tracing, interrupts and JIT checkpoints all hook
+    into that one loop.  A run paused with ``run(pause_at=...)`` can be
+    captured by :meth:`snapshot` and resumed, any number of times, in
+    fresh machines via :meth:`restore`.
+    """
 
     def __init__(
         self,
@@ -258,7 +305,6 @@ class Machine:
         war_check: bool = True,
         interrupt_interval: Optional[int] = None,
         jit_checkpoint_threshold: Optional[int] = None,
-        fast_interp: bool = True,
         trace: Optional[EventTrace] = None,
     ):
         self.program = program
@@ -266,18 +312,14 @@ class Machine:
         #: optional :class:`EventTrace` recording consistency-critical
         #: instants (checkpoint commits, restores, first region stores,
         #: epilogue mask/unmask) for the fault-injection planner.  The
-        #: ``war-write`` hook lives in :meth:`write_mem`, which the fast
-        #: interpreter only routes stores through when WAR checking is
-        #: on — so tracing requires ``war_check=True``.
+        #: ``war-write`` hook lives in :meth:`write_mem`, which stores
+        #: only reach when WAR checking is on — so tracing requires
+        #: ``war_check=True``.
         if trace is not None and not war_check:
             raise ValueError("event tracing requires war_check=True")
         self._trace = trace
-        #: ``fast_interp=False`` selects the reference interpreter (the
-        #: original per-MInstr dispatch loop); the parity tests compare
-        #: its ExecutionStats against the predecoded fast path.
-        self.fast_interp = fast_interp
-        self._decoded = _decoded_for(program, self.costs) if fast_interp else None
-        self.war = WARChecker() if war_check else None
+        self._decoded = _decoded_for(program, self.costs)
+        self.war = WARChecker(site=_store_site(program)) if war_check else None
         self.interrupt_interval = interrupt_interval
         #: Just-In-Time checkpointing (paper §6): a Hibernus-style
         #: voltage-comparator model.  When the remaining on-time of a
@@ -306,17 +348,11 @@ class Machine:
         self._ckpt_active = (dict(self.regs), self.pc, self.last_cmp)
         self._halt_sentinel = HALT_ADDRESS & M32
         self._failures_since_checkpoint = 0
+        #: on-time already used in the current power-on period by a run
+        #: that paused (``run(pause_at=...)``); 0 otherwise
+        self._period_used = 0
 
     # -- memory -----------------------------------------------------------
-    def _resolve(self, base, offset) -> int:
-        if isinstance(base, str):  # 'sp'
-            addr = self.regs[base]
-        elif hasattr(base, "offset"):  # StackSlot
-            addr = self.regs["sp"] + base.offset
-        else:  # VReg
-            addr = self.regs[base.phys]
-        return (addr + offset) & M32
-
     def read_mem(self, addr: int, size: int) -> int:
         if addr + size > len(self.memory):
             raise EmulationError(f"load out of bounds: 0x{addr:x}")
@@ -329,30 +365,19 @@ class Machine:
             raise EmulationError(f"store out of bounds: 0x{addr:x}")
         war = self.war
         if war is not None:
+            before = len(war.violations)
+            war.on_write(addr, size, self.pc)
             trace = self._trace
-            if trace is None:
-                war.on_write(
-                    addr, size, self.pc, self.program.function_of_index[self.pc],
-                    loc=self.program.instrs[self.pc].loc,
-                )
-            else:
-                # tracing: both loops synchronise ``stats.cycles`` (and
-                # ``pc``) before reaching here, so the recorded cycle is
-                # the cumulative on-time before this store's cost
-                before = len(war.violations)
-                war.on_write(
-                    addr, size, self.pc, self.program.function_of_index[self.pc],
-                    loc=self.program.instrs[self.pc].loc,
-                )
+            if trace is not None:
+                # the run loop synchronises ``stats.cycles`` (and ``pc``)
+                # before a traced store, so the recorded cycle is the
+                # cumulative on-time before this store's cost
                 trace.on_store(self.stats.cycles, self.pc, addr)
                 if len(war.violations) != before:
                     trace.on_war_violation(self.stats.cycles, self.pc, addr)
         self.memory[addr : addr + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "little"
         )
-
-    def _val(self, op) -> int:
-        return op & M32 if isinstance(op, int) else self.regs[op.phys]
 
     # -- checkpointing ------------------------------------------------------
     def _take_checkpoint(self, cause: str, next_pc: Optional[int] = None) -> None:
@@ -409,27 +434,82 @@ class Machine:
         self.region_cycles += cost
         self.stats.interrupts += 1
 
+    # -- snapshots ----------------------------------------------------------------
+    def snapshot(self) -> MachineSnapshot:
+        """Capture the complete device state between two instructions:
+        the NVM image, registers, pc, comparison flags, interrupt state,
+        the checkpoint buffer and failure counter, a copy of the
+        statistics and the WAR checker's region shadow, violations and
+        region index.  Event traces are not captured."""
+        if self._trace is not None:
+            raise ValueError("a traced machine cannot be snapshotted")
+        war = self.war
+        return MachineSnapshot(
+            memory=bytes(self.memory),
+            regs=dict(self.regs),
+            pc=self.pc,
+            last_cmp=self.last_cmp,
+            interrupts_enabled=self.interrupts_enabled,
+            pending_interrupt=self.pending_interrupt,
+            next_interrupt=self._next_interrupt,
+            region_cycles=self.region_cycles,
+            period_used=self._period_used,
+            jit_fired=self._jit_fired,
+            checkpoint=self._ckpt_active,
+            failures_since_checkpoint=self._failures_since_checkpoint,
+            stats=self.stats.copy(),
+            war=None if war is None else (
+                dict(war.words), list(war.violations), war.region_index),
+        )
+
+    def restore(self, snapshot: MachineSnapshot) -> None:
+        """Continue from ``snapshot`` exactly as the captured machine
+        would.  The snapshot must come from a machine over the same
+        program, cost model, interrupt interval and WAR-checking mode."""
+        if (snapshot.war is None) != (self.war is None):
+            raise ValueError("snapshot and machine differ in WAR checking")
+        # copy in place: a second 1 MiB buffer per replay costs page faults
+        memoryview(self.memory)[:] = snapshot.memory
+        self.regs = dict(snapshot.regs)
+        self.pc = snapshot.pc
+        self.last_cmp = snapshot.last_cmp
+        self.interrupts_enabled = snapshot.interrupts_enabled
+        self.pending_interrupt = snapshot.pending_interrupt
+        self._next_interrupt = snapshot.next_interrupt
+        self.region_cycles = snapshot.region_cycles
+        self._period_used = snapshot.period_used
+        self._jit_fired = snapshot.jit_fired
+        self._ckpt_active = snapshot.checkpoint
+        self._failures_since_checkpoint = snapshot.failures_since_checkpoint
+        self.stats = snapshot.stats.copy()
+        if self.war is not None:
+            words, violations, region_index = snapshot.war
+            self.war.words = dict(words)
+            self.war.violations = list(violations)
+            self.war.region_index = region_index
+
     # -- main loop ---------------------------------------------------------------
     def run(
         self,
         power: Optional[PowerSupply] = None,
         max_instructions: int = 100_000_000,
+        pause_at: Optional[int] = None,
     ) -> ExecutionStats:
-        if self.fast_interp:
-            return self._run_decoded(power, max_instructions)
-        return self._run_reference(power, max_instructions)
+        """Interpret the program until it halts; returns the statistics,
+        cumulative over every run of this machine.
 
-    def _run_decoded(
-        self,
-        power: Optional[PowerSupply],
-        max_instructions: int,
-    ) -> ExecutionStats:
-        """The fast path: interpret the predecoded stream.
+        ``power`` drives power failures (``None``: continuous power).
+        ``pause_at`` runs under continuous power instead and returns,
+        un-halted, just before the instruction that would overrun
+        ``pause_at`` on-time cycles of the current power-on period —
+        the instruction a supply whose first period is ``pause_at``
+        would fail.  A later ``run`` resumes there, on this machine or
+        on a fresh one given its :meth:`snapshot`; resumed under a
+        supply whose first period is at least ``pause_at``, it matches
+        a from-reset run under that supply exactly.
 
-        Byte-for-byte equivalent to :meth:`_run_reference` in every
-        observable (``ExecutionStats``, memory, registers, WAR checking,
-        interrupts, JIT checkpoints); hot state lives in locals and is
-        synchronised with the instance on every slow-path event.
+        Hot state lives in locals and is synchronised with the instance
+        around every slow-path event and on exit.
         """
         decoded = self._decoded
         costs = self.costs
@@ -439,6 +519,11 @@ class Machine:
         war = self.war
         trace = self._trace
         cc = stats.call_counts
+        # the checker's word shadow, updated inline by aligned word
+        # accesses; traced stores go through ``write_mem`` for its hooks
+        shadow = war.words if war is not None else None
+        wshadow = shadow if trace is None else None
+        read_word = _READ_WORD
 
         pc = self.pc
         cmp_a, cmp_b = self.last_cmp
@@ -455,13 +540,21 @@ class Machine:
 
         on_iter = None
         budget = None
-        if power is not None and not power.is_continuous:
+        if pause_at is not None:
+            if power is not None and not power.is_continuous:
+                raise ValueError("pause_at runs under continuous power")
+            if jit_enabled:
+                raise ValueError("pause_at does not model JIT checkpointing")
+            # the pause point is a budget without a next period
+            budget = pause_at
+        elif power is not None and not power.is_continuous:
             on_iter = power.on_durations()
             budget = next(on_iter)
             if jit_enabled and budget <= jit_threshold:
                 jit_fired = True  # collapsed before the comparator
                 self._jit_fired = True
-        period_used = 0
+        period_used = self._period_used
+        paused = False
 
         addr = 0
         try:
@@ -469,10 +562,6 @@ class Machine:
                 if icount >= max_instructions:
                     stats.instructions = icount
                     stats.cycles = cycles
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
-                    self._next_interrupt = next_interrupt
                     raise EmulationLimit(
                         f"exceeded {max_instructions} instructions "
                         f"({stats.summary()})"
@@ -481,6 +570,9 @@ class Machine:
                 cost = d[1]
 
                 if budget is not None and period_used + cost > budget:
+                    if on_iter is None:
+                        paused = True
+                        break
                     # ---- power failure -----------------------------------
                     stats.instructions = icount
                     stats.cycles = cycles
@@ -488,10 +580,6 @@ class Machine:
                     stats.reexecuted_cycles += region_cycles
                     self._failures_since_checkpoint += 1
                     if self._failures_since_checkpoint > 1000:
-                        self.pc = pc
-                        self.last_cmp = (cmp_a, cmp_b)
-                        self.region_cycles = region_cycles
-                        self._next_interrupt = next_interrupt
                         raise NoForwardProgress(
                             "the idempotent region does not fit the power-on "
                             f"window ({stats.summary()})"
@@ -503,10 +591,6 @@ class Machine:
                         dead_periods += 1
                         stats.power_failures += 1
                         if dead_periods > 10_000:
-                            self.pc = pc
-                            self.last_cmp = (cmp_a, cmp_b)
-                            self.region_cycles = region_cycles
-                            self._next_interrupt = next_interrupt
                             raise NoForwardProgress(
                                 "power-on periods shorter than boot + restore"
                             )
@@ -515,6 +599,7 @@ class Machine:
                     cycles += boot
                     stats.cycles = cycles
                     stats.boot_cycles += boot
+                    # a too-short period collapses before the comparator
                     jit_fired = jit_enabled and budget - boot <= jit_threshold
                     self._jit_fired = jit_fired
                     self._restore_checkpoint()
@@ -535,10 +620,14 @@ class Machine:
                     regs[d[2]] = (regs[d[3]] + regs[d[4]]) & M32
                 elif k == K_LDR4:
                     addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = _U32(memory, addr)[0]
-                    else:
-                        regs[d[2]] = self.read_mem(addr, 4)
+                    regs[d[2]] = _U32(memory, addr)[0]
+                    if war is not None:
+                        if shadow is None or addr & 3:
+                            war.on_read(addr, 4)
+                        else:
+                            mask = shadow.get(addr >> 2, 0)
+                            if read_word[mask] != mask:
+                                shadow[addr >> 2] = read_word[mask]
                 elif k == K_MOV_I:
                     regs[d[2]] = d[3]
                 elif k == K_SHIFT:
@@ -585,17 +674,18 @@ class Machine:
                     addr = (regs[d[3]] + d[4]) & M32
                     if war is None:
                         _P32(memory, addr, regs[d[2]])
-                    else:
+                    elif wshadow is None or addr & 3 or wshadow.get(addr >> 2, 0) & 15:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 4, regs[d[2]])
+                    else:
+                        _P32(memory, addr, regs[d[2]])
+                        wshadow[addr >> 2] = _WRITTEN_WORD
                 elif k == K_LDR1:
                     addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = memory[addr]
-                    else:
-                        regs[d[2]] = self.read_mem(addr, 1)
+                    regs[d[2]] = memory[addr]
+                    if war is not None:
+                        war.on_read(addr, 1)
                 elif k == K_SUB_RI:
                     regs[d[2]] = (regs[d[3]] - d[4]) & M32
                 elif k == K_STR1_R:
@@ -604,8 +694,7 @@ class Machine:
                         memory[addr] = regs[d[2]] & 0xFF
                     else:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 1, regs[d[2]])
                 elif k == K_CMP_RR:
                     cmp_a = regs[d[2]]
@@ -616,18 +705,16 @@ class Machine:
                     regs[d[2]] = (regs[d[3]] - regs[d[4]]) & M32
                 elif k == K_LDR2:
                     addr = (regs[d[3]] + d[4]) & M32
-                    if war is None:
-                        regs[d[2]] = _U16(memory, addr)[0]
-                    else:
-                        regs[d[2]] = self.read_mem(addr, 2)
+                    regs[d[2]] = _U16(memory, addr)[0]
+                    if war is not None:
+                        war.on_read(addr, 2)
                 elif k == K_STR2_R:
                     addr = (regs[d[3]] + d[4]) & M32
                     if war is None:
                         _P16(memory, addr, regs[d[2]] & 0xFFFF)
                     else:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 2, regs[d[2]])
                 elif k == K_BL:
                     regs["lr"] = (pc + 1) & M32
@@ -642,40 +729,44 @@ class Machine:
                         region_cycles += cost
                         stats.halted = True
                         stats.final_region_cycles = region_cycles
-                        stats.instructions = icount
-                        stats.cycles = cycles
-                        self.pc = pc
-                        self.last_cmp = (cmp_a, cmp_b)
-                        self.region_cycles = region_cycles
-                        self._next_interrupt = next_interrupt
-                        return stats
+                        break
                     pc = target - 1
                     cost = d[2]
                 elif k == K_PUSH:
                     names = d[2]
                     sp = (regs["sp"] - 4 * len(names)) & M32
                     regs["sp"] = sp
+                    addr = sp
                     if war is None:
-                        addr = sp
                         for name in names:
                             _P32(memory, addr, regs[name])
                             addr += 4
                     else:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
-                        for i, name in enumerate(names):
-                            self.write_mem(sp + 4 * i, 4, regs[name])
+                        stats.cycles = cycles
+                        for name in names:
+                            if wshadow is None or addr & 3 or wshadow.get(addr >> 2, 0) & 15:
+                                self.write_mem(addr, 4, regs[name])
+                            else:
+                                _P32(memory, addr, regs[name])
+                                wshadow[addr >> 2] = _WRITTEN_WORD
+                            addr += 4
                 elif k == K_POP:
-                    sp = regs["sp"]
+                    sp = addr = regs["sp"]
                     if war is None:
-                        addr = sp
                         for name in d[2]:
                             regs[name] = _U32(memory, addr)[0]
                             addr += 4
                     else:
-                        for i, name in enumerate(d[2]):
-                            regs[name] = self.read_mem(sp + 4 * i, 4)
+                        for name in d[2]:
+                            regs[name] = _U32(memory, addr)[0]
+                            if shadow is None or addr & 3:
+                                war.on_read(addr, 4)
+                            else:
+                                mask = shadow.get(addr >> 2, 0)
+                                if read_word[mask] != mask:
+                                    shadow[addr >> 2] = read_word[mask]
+                            addr += 4
                     regs["sp"] = (sp + 4 * len(d[2])) & M32
                 elif k == K_CKPT:
                     self.pc = pc
@@ -711,19 +802,20 @@ class Machine:
                     addr = (regs[d[3]] + d[4]) & M32
                     if war is None:
                         _P32(memory, addr, d[2])
-                    else:
+                    elif wshadow is None or addr & 3 or wshadow.get(addr >> 2, 0) & 15:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 4, d[2])
+                    else:
+                        _P32(memory, addr, d[2])
+                        wshadow[addr >> 2] = _WRITTEN_WORD
                 elif k == K_STR1_I:
                     addr = (regs[d[3]] + d[4]) & M32
                     if war is None:
                         memory[addr] = d[2] & 0xFF
                     else:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 1, d[2])
                 elif k == K_STR2_I:
                     addr = (regs[d[3]] + d[4]) & M32
@@ -731,8 +823,7 @@ class Machine:
                         _P16(memory, addr, d[2] & 0xFFFF)
                     else:
                         self.pc = pc
-                        if trace is not None:
-                            stats.cycles = cycles
+                        stats.cycles = cycles
                         self.write_mem(addr, 2, d[2])
                 elif k == K_CMP_IR:
                     cmp_a = d[2]
@@ -764,11 +855,6 @@ class Machine:
                 elif k == K_NOP:
                     pass
                 else:
-                    stats.instructions = icount
-                    stats.cycles = cycles
-                    self.pc = pc
-                    self.last_cmp = (cmp_a, cmp_b)
-                    self.region_cycles = region_cycles
                     raise EmulationError(f"cannot execute {d[2]!r}")
 
                 cycles += cost
@@ -811,241 +897,23 @@ class Machine:
                         region_cycles = self.region_cycles
                     else:
                         self.pending_interrupt = True
-        except EmulationError:
-            # raised with locals already synchronised (limit / no-forward-
-            # progress paths) or by the WAR-checking accessors — make sure
-            # the counters reflect the faulting instruction either way
-            stats.instructions = icount
-            stats.cycles = cycles
-            self.pc = pc
-            self.last_cmp = (cmp_a, cmp_b)
-            self.region_cycles = region_cycles
-            self._next_interrupt = next_interrupt
-            raise
         except (IndexError, struct.error):
-            # the fast memory accessors bounds-check by construction:
+            # the inline memory accessors bounds-check by construction:
             # bytearray indexing / struct packing reject any access past
             # the 1 MB address space
+            raise EmulationError(
+                f"memory access out of bounds: 0x{addr:x}") from None
+        finally:
+            # every exit — halt, pause or error — leaves the counters at
+            # the last (or faulting) instruction
             stats.instructions = icount
             stats.cycles = cycles
             self.pc = pc
             self.last_cmp = (cmp_a, cmp_b)
             self.region_cycles = region_cycles
             self._next_interrupt = next_interrupt
-            raise EmulationError(f"memory access out of bounds: 0x{addr:x}")
-
-    def _run_reference(
-        self,
-        power: Optional[PowerSupply],
-        max_instructions: int,
-    ) -> ExecutionStats:
-        instrs = self.program.instrs
-        costs = self.costs
-        stats = self.stats
-        regs = self.regs
-
-        on_iter = None
-        budget = None
-        if power is not None and not power.is_continuous:
-            on_iter = power.on_durations()
-            budget = next(on_iter)
-            if (
-                self.jit_checkpoint_threshold is not None
-                and budget <= self.jit_checkpoint_threshold
-            ):
-                self._jit_fired = True  # collapsed before the comparator
-        period_used = 0
-
-        while True:
-            if stats.instructions >= max_instructions:
-                raise EmulationLimit(
-                    f"exceeded {max_instructions} instructions "
-                    f"({stats.summary()})"
-                )
-            instr = instrs[self.pc]
-            cost = costs.cost_of(instr)
-
-            if budget is not None and period_used + cost > budget:
-                # ---- power failure ---------------------------------------
-                stats.power_failures += 1
-                stats.reexecuted_cycles += self.region_cycles
-                self._failures_since_checkpoint += 1
-                if self._failures_since_checkpoint > 1000:
-                    raise NoForwardProgress(
-                        "the idempotent region does not fit the power-on "
-                        f"window ({stats.summary()})"
-                    )
-                boot = costs.boot_cycles + costs.restore_cycles
-                dead_periods = 0
-                budget = next(on_iter)
-                while budget < boot:
-                    dead_periods += 1
-                    stats.power_failures += 1
-                    if dead_periods > 10_000:
-                        raise NoForwardProgress(
-                            "power-on periods shorter than boot + restore"
-                        )
-                    budget = next(on_iter)
-                period_used = boot
-                stats.cycles += boot
-                stats.boot_cycles += boot
-                self._jit_fired = (
-                    self.jit_checkpoint_threshold is not None
-                    and budget - boot <= self.jit_checkpoint_threshold
-                )  # a too-short period collapses before the comparator
-                self._restore_checkpoint()
-                regs = self.regs
-                continue
-
-            stats.instructions += 1
-            taken_branch = False
-            op = instr.opcode
-            ops = instr.ops
-
-            if op == "mov":
-                regs[instr.dst.phys] = self._val(ops[0])
-            elif op in _ALU:
-                regs[instr.dst.phys] = _ALU[op](self._val(ops[0]), self._val(ops[1])) & M32
-            elif op in ("lsl", "lsr", "asr"):
-                amount = self._val(ops[1]) & 0xFF
-                a = self._val(ops[0])
-                if op == "lsl":
-                    result = (a << amount) & M32 if amount < 32 else 0
-                elif op == "lsr":
-                    result = a >> amount if amount < 32 else 0
-                else:
-                    result = (_signed(a) >> amount) & M32 if amount < 32 else (
-                        M32 if _signed(a) < 0 else 0
-                    )
-                regs[instr.dst.phys] = result
-            elif op in ("udiv", "sdiv"):
-                a, b = self._val(ops[0]), self._val(ops[1])
-                if b == 0:
-                    result = 0  # ARM semantics: division by zero yields 0
-                elif op == "udiv":
-                    result = a // b
-                else:
-                    sa, sb = _signed(a), _signed(b)
-                    result = abs(sa) // abs(sb)
-                    if (sa < 0) != (sb < 0):
-                        result = -result
-                regs[instr.dst.phys] = result & M32
-            elif op in ("ldr", "ldrb", "ldrh"):
-                size = {"ldr": 4, "ldrb": 1, "ldrh": 2}[op]
-                addr = self._resolve(ops[0], ops[1])
-                regs[instr.dst.phys] = self.read_mem(addr, size)
-            elif op in ("str", "strb", "strh"):
-                size = {"str": 4, "strb": 1, "strh": 2}[op]
-                addr = self._resolve(ops[1], ops[2])
-                self.write_mem(addr, size, self._val(ops[0]))
-            elif op == "cmp":
-                self.last_cmp = (self._val(ops[0]), self._val(ops[1]))
-            elif op == "bcc":
-                if _COND[instr.cond](*self.last_cmp):
-                    self.pc = ops[0] - 1
-                    taken_branch = True
-            elif op == "b":
-                self.pc = ops[0] - 1
-                taken_branch = True
-            elif op == "cmov":
-                if _COND[instr.cond](*self.last_cmp):
-                    regs[instr.dst.phys] = self._val(ops[0])
-            elif op == "adr":
-                regs[instr.dst.phys] = ops[0]
-            elif op == "lea":
-                regs[instr.dst.phys] = (regs["sp"] + ops[0].offset) & M32
-            elif op == "bl":
-                regs["lr"] = (self.pc + 1) & M32
-                callee = self.program.function_of_index[ops[0]]
-                stats.call_counts[callee] = stats.call_counts.get(callee, 0) + 1
-                self.pc = ops[0] - 1
-                taken_branch = True
-            elif op == "bx_lr":
-                target = regs["lr"]
-                if target == self._halt_sentinel:
-                    stats.cycles += cost
-                    self.region_cycles += cost
-                    stats.halted = True
-                    stats.final_region_cycles = self.region_cycles
-                    return stats
-                self.pc = target - 1
-                taken_branch = True
-            elif op == "push":
-                n = len(instr.regs)
-                sp = (regs["sp"] - 4 * n) & M32
-                regs["sp"] = sp
-                for i, reg in enumerate(instr.regs):
-                    self.write_mem(sp + 4 * i, 4, regs[reg])
-            elif op == "pop":
-                sp = regs["sp"]
-                for i, reg in enumerate(instr.regs):
-                    regs[reg] = self.read_mem(sp + 4 * i, 4)
-                regs["sp"] = (sp + 4 * len(instr.regs)) & M32
-            elif op == "addsp":
-                regs["sp"] = (regs["sp"] + ops[0]) & M32
-            elif op == "subsp":
-                regs["sp"] = (regs["sp"] - ops[0]) & M32
-            elif op == "sxtb":
-                v = self._val(ops[0]) & 0xFF
-                regs[instr.dst.phys] = (v - 256 if v >= 128 else v) & M32
-            elif op == "uxtb":
-                regs[instr.dst.phys] = self._val(ops[0]) & 0xFF
-            elif op == "sxth":
-                v = self._val(ops[0]) & 0xFFFF
-                regs[instr.dst.phys] = (v - 65536 if v >= 32768 else v) & M32
-            elif op == "uxth":
-                regs[instr.dst.phys] = self._val(ops[0]) & 0xFFFF
-            elif op == "checkpoint":
-                self._take_checkpoint(instr.cause)
-            elif op == "cpsid":
-                self.interrupts_enabled = False
-                if self._trace is not None:
-                    self._trace.record("mask", stats.cycles, self.pc)
-            elif op == "cpsie":
-                self.interrupts_enabled = True
-                if self._trace is not None:
-                    self._trace.record("unmask", stats.cycles, self.pc)
-                if self.pending_interrupt:
-                    self.pending_interrupt = False
-                    self._fire_interrupt()
-            elif op == "nop":
-                pass
-            else:
-                raise EmulationError(f"cannot execute {instr!r}")
-
-            if taken_branch:
-                cost += costs.pipeline_refill
-            stats.cycles += cost
-            self.region_cycles += cost
-            period_used += cost
-            self.pc += 1
-
-            # JIT checkpoint: the comparator sees the capacitor voltage
-            # crossing the configured threshold; the device saves state
-            # and sleeps out the remainder of the discharge.  A period
-            # that started below the threshold collapsed too fast for the
-            # comparator (handled at period start).
-            if (
-                self.jit_checkpoint_threshold is not None
-                and budget is not None
-                and not self._jit_fired
-                and budget - period_used <= self.jit_checkpoint_threshold
-            ):
-                self._jit_fired = True
-                jit_cost = costs.checkpoint_cycles
-                stats.cycles += jit_cost
-                self.region_cycles += jit_cost
-                period_used += jit_cost
-                self._take_checkpoint("jit", next_pc=self.pc)
-                period_used = budget  # sleep until the brown-out
-
-            # periodic timer interrupt
-            if self._next_interrupt is not None and stats.cycles >= self._next_interrupt:
-                self._next_interrupt += self.interrupt_interval
-                if self.interrupts_enabled:
-                    self._fire_interrupt()
-                else:
-                    self.pending_interrupt = True
+            self._period_used = period_used if paused else 0
+        return stats
 
     # -- post-run inspection ---------------------------------------------------
     def read_global(self, name: str, count: int = 1, size: int = 4, signed: bool = False):

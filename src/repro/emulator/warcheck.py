@@ -18,7 +18,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..diagnostics import Diagnostic, ERROR, LEVEL_DYNAMIC, SourceLoc
 
@@ -57,53 +57,69 @@ class Violation:
 
 
 class WARChecker:
-    """Tracks first-accesses per idempotent region, byte-granular."""
+    """Tracks first accesses per idempotent region, byte-granular.
 
-    READ = 1
-    WRITE = 2
+    The shadow is keyed by 32-bit word: ``words[addr >> 2]`` is a mask
+    whose bit ``b`` (0-3) says byte ``b`` of the word was first *read*
+    in the current region and bit ``b + 4`` that it was first
+    *written*; an absent word has not been touched.  The emulator
+    updates this dict inline for aligned word accesses (one probe per
+    load, store, push or pop word) and calls :meth:`on_read` /
+    :meth:`on_write` for everything else; a checker whose ``words`` is
+    ``None`` sees every access through those two methods.
+    """
 
-    def __init__(self, record_all: bool = False):
-        self._first: Dict[int, int] = {}
+    def __init__(self, record_all: bool = False,
+                 site: Optional[Callable[[int], Tuple[str, Optional[SourceLoc]]]] = None):
+        self.words: Dict[int, int] = {}
         self.violations: List[Violation] = []
         self.region_index = 0
         self.record_all = record_all
+        #: ``pc -> (function, loc)`` of a store, looked up only when a
+        #: violation is recorded without an explicit function
+        self.site = site
 
     def on_read(self, address: int, size: int) -> None:
-        first = self._first
+        words = self.words
         for a in range(address, address + size):
-            if a not in first:
-                first[a] = self.READ
+            bit = 1 << (a & 3)
+            mask = words.get(a >> 2, 0)
+            if not mask & (bit | bit << 4):
+                words[a >> 2] = mask | bit
 
     def on_write(
         self,
         address: int,
         size: int,
         pc: int = -1,
-        function: str = "?",
+        function: Optional[str] = None,
         loc: Optional[SourceLoc] = None,
     ) -> None:
-        first = self._first
+        words = self.words
         for a in range(address, address + size):
-            kind = first.get(a)
-            if kind is None:
-                first[a] = self.WRITE
-            elif kind == self.READ:
+            bit = 1 << (a & 3)
+            mask = words.get(a >> 2, 0)
+            if mask & bit:  # first accessed by a load: a WAR
+                if function is None:
+                    function, loc = self.site(pc) if self.site else ("?", loc)
                 self.violations.append(
                     Violation(a, pc, function, self.region_index, loc)
                 )
                 if not self.record_all:
                     # Record one violation per (region, address): promote
-                    # to WRITE so a loop does not flood the list.
-                    first[a] = self.WRITE
+                    # to written-first so a loop does not flood the list.
+                    words[a >> 2] = mask ^ bit ^ bit << 4
+            elif not mask & bit << 4:
+                words[a >> 2] = mask | bit << 4
 
     def on_checkpoint(self) -> None:
         """A checkpoint ends the current idempotent region."""
-        self._first.clear()
+        self.words.clear()
         self.region_index += 1
 
     def on_power_restore(self) -> None:
         """Restoration re-enters the region after the last checkpoint."""
-        self._first.clear()
+        self.words.clear()
 
     @property
     def clean(self) -> bool:

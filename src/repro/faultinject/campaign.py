@@ -10,9 +10,16 @@ schedule set (:mod:`repro.faultinject.plan`); replays every schedule via
 the oracle.  Any failing schedule is shrunk to a minimal failure-point
 subsequence before it is reported.
 
-Execution reuses the parallel evaluation engine of PR 4: cells fan out
-over :func:`repro.eval.runner.map_ordered` (``--jobs`` /
-``REPRO_JOBS``), every worker shares the content-addressed
+A schedule's replay is identical to the oracle run up to its first
+failure point, so replays do not emulate that prefix: one *leader* run
+per pair pauses at each distinct first failure point, in ascending
+order, and every schedule starting there resumes from a snapshot of the
+leader (:meth:`~repro.emulator.machine.Machine.snapshot`).  Outcomes
+are byte-identical to from-reset replays.
+
+Execution reuses the parallel evaluation engine: pairs fan out over
+:func:`repro.eval.runner.map_ordered` (``--jobs`` / ``REPRO_JOBS``),
+every worker shares the content-addressed
 :mod:`repro.cache`, and both oracle records and cell outcomes are
 persisted under ``inject-`` keys — so campaigns are resumable (an
 interrupted campaign replays completed cells from disk) and
@@ -25,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..benchsuite import BENCHMARKS, compile_benchmark, get_benchmark
 from ..cache import inject_key, resolve_cache
@@ -35,6 +42,7 @@ from ..emulator import (
     EmulationError,
     EventTrace,
     Machine,
+    MachineSnapshot,
     NoForwardProgress,
     SchedulePower,
 )
@@ -207,6 +215,16 @@ def _outputs_match(bench, machine: Machine) -> bool:
     return True
 
 
+def _cell_key(store, program, bench, schedule: Schedule,
+              interrupt_interval: Optional[int]) -> Optional[str]:
+    """The cache key of one cell (``()`` keys the oracle), or None."""
+    if store is None or not program.cache_key:
+        return None
+    return inject_key(program.cache_key, schedule, True,
+                      bench.max_instructions, repr(DEFAULT_COSTS),
+                      interrupt_interval=interrupt_interval)
+
+
 def _execute_oracle(
     bench_name: str, env: Env, cache=None,
     interrupt_interval: Optional[int] = None,
@@ -215,11 +233,8 @@ def _execute_oracle(
     bench = get_benchmark(bench_name)
     program = compile_benchmark(bench, env, None, cache=cache)
     store = resolve_cache(cache)
-    key = None
-    if store is not None and program.cache_key:
-        key = inject_key(program.cache_key, (), True,
-                         bench.max_instructions, repr(DEFAULT_COSTS),
-                         interrupt_interval=interrupt_interval)
+    key = _cell_key(store, program, bench, (), interrupt_interval)
+    if key is not None:
         hit = store.get(key)
         if hit is not None:
             return hit
@@ -244,21 +259,26 @@ def _execute_oracle(
 def _execute_schedule(
     bench_name: str, env: Env, schedule: Schedule, cache=None,
     interrupt_interval: Optional[int] = None,
+    snapshot: Optional[MachineSnapshot] = None,
 ) -> CellOutcome:
-    """Replay one failure schedule (disk-cached under its inject key)."""
+    """Replay one failure schedule (disk-cached under its inject key).
+
+    Without ``snapshot`` the replay starts from reset; with one — a
+    continuous-power run of the same program paused at ``schedule[0]``
+    (see :func:`_prefix_snapshots`) — it resumes there, with the same
+    outcome."""
     bench = get_benchmark(bench_name)
     program = compile_benchmark(bench, env, None, cache=cache)
     store = resolve_cache(cache)
-    key = None
-    if store is not None and program.cache_key:
-        key = inject_key(program.cache_key, schedule, True,
-                         bench.max_instructions, repr(DEFAULT_COSTS),
-                         interrupt_interval=interrupt_interval)
+    key = _cell_key(store, program, bench, schedule, interrupt_interval)
+    if key is not None:
         hit = store.get(key)
         if hit is not None:
             return hit
     machine = Machine(program, war_check=True,
                       interrupt_interval=interrupt_interval)
+    if snapshot is not None:
+        machine.restore(snapshot)
     error = ""
     try:
         stats = machine.run(
@@ -292,6 +312,71 @@ def _execute_schedule(
     return outcome
 
 
+def _prefix_snapshots(
+    program, points: Sequence[int], max_instructions: int,
+    interrupt_interval: Optional[int],
+) -> Iterator[Tuple[int, Optional[MachineSnapshot]]]:
+    """Yield ``(point, snapshot)`` for ascending ``points``.
+
+    One leader machine runs the program under continuous power and
+    pauses just before the instruction that a first power-on period of
+    ``point`` cycles would fail; the snapshot there is the state every
+    schedule starting with ``point`` reaches at its first failure.  Once
+    the leader halts or aborts before a point, the snapshots are
+    ``None`` and those schedules replay from reset.
+    """
+    leader = Machine(program, war_check=True,
+                     interrupt_interval=interrupt_interval) if points else None
+    for point in points:
+        snapshot = None  # drop the previous one before taking the next
+        if leader is not None:
+            try:
+                stats = leader.run(max_instructions=max_instructions,
+                                   pause_at=point)
+                if not stats.halted:
+                    snapshot = leader.snapshot()
+            except EmulationError:
+                pass
+            if snapshot is None:
+                leader = None
+        yield point, snapshot
+
+
+def _replay_schedules(
+    bench_name: str, env: Env, schedules: Sequence[Schedule], cache=None,
+    interrupt_interval: Optional[int] = None,
+) -> List[CellOutcome]:
+    """Replay one pair's schedules; outcomes in ``schedules`` order.
+
+    Uncached schedules run in order of their first failure point, each
+    resumed from the leader snapshot at that point; at most one snapshot
+    is alive at a time.  Without uncached schedules no leader runs."""
+    bench = get_benchmark(bench_name)
+    program = compile_benchmark(bench, env, None, cache=cache)
+    store = resolve_cache(cache)
+    outcomes: List[Optional[CellOutcome]] = [None] * len(schedules)
+    by_point: Dict[int, List[int]] = {}
+    for index, schedule in enumerate(schedules):
+        key = _cell_key(store, program, bench, schedule, interrupt_interval)
+        if key is not None and key in store:
+            outcomes[index] = _execute_schedule(
+                bench_name, env, schedule, cache,
+                interrupt_interval=interrupt_interval,
+            )
+        else:
+            by_point.setdefault(schedule[0], []).append(index)
+    snapshots = _prefix_snapshots(program, sorted(by_point),
+                                  bench.max_instructions, interrupt_interval)
+    for point, snapshot in snapshots:
+        for index in by_point[point]:
+            outcomes[index] = _execute_schedule(
+                bench_name, env, schedules[index], cache,
+                interrupt_interval=interrupt_interval, snapshot=snapshot,
+            )
+        del snapshot
+    return outcomes
+
+
 def _oracle_worker(payload) -> OracleRecord:
     bench_name, env, cache_dir, use_disk, interrupt_interval = payload
     return _execute_oracle(
@@ -300,10 +385,10 @@ def _oracle_worker(payload) -> OracleRecord:
     )
 
 
-def _cell_worker(payload) -> CellOutcome:
-    bench_name, env, schedule, cache_dir, use_disk, interrupt_interval = payload
-    return _execute_schedule(
-        bench_name, env, schedule, worker_cache(cache_dir, use_disk),
+def _pair_worker(payload) -> List[CellOutcome]:
+    bench_name, env, schedules, cache_dir, use_disk, interrupt_interval = payload
+    return _replay_schedules(
+        bench_name, env, schedules, worker_cache(cache_dir, use_disk),
         interrupt_interval=interrupt_interval,
     )
 
@@ -355,15 +440,32 @@ def shrink_schedule(
     cache, and returns the first one that still fails; planned schedules
     have at most a handful of points, so this exhaustive ddmin is cheap.
     The empty subsequence is the oracle itself and passes by definition.
+    Every candidate starts with one of the schedule's own durations, so
+    the first uncached candidate takes one prefix snapshot per distinct
+    duration and every replay resumes from one of them.
     """
     if len(schedule) <= 1:
         return tuple(schedule)
+    bench = get_benchmark(bench_name)
+    program = compile_benchmark(bench, env, None, cache=cache)
+    store = resolve_cache(cache)
+    snapshots: Optional[Dict[int, Optional[MachineSnapshot]]] = None
     for size in range(1, len(schedule)):
         for picked in combinations(range(len(schedule)), size):
             candidate = tuple(schedule[i] for i in picked)
+            key = _cell_key(store, program, bench, candidate,
+                            interrupt_interval)
+            snapshot = None
+            if key is None or key not in store:
+                if snapshots is None:
+                    snapshots = dict(_prefix_snapshots(
+                        program, sorted(set(schedule)),
+                        bench.max_instructions, interrupt_interval,
+                    ))
+                snapshot = snapshots[candidate[0]]
             outcome = _execute_schedule(
                 bench_name, env, candidate, cache,
-                interrupt_interval=interrupt_interval,
+                interrupt_interval=interrupt_interval, snapshot=snapshot,
             )
             if certify_outcome(outcome, oracle)[0] != "pass":
                 return candidate
@@ -423,23 +525,20 @@ def run_campaign(config: CampaignConfig, cache=None):
         )
         plans.append(plan)
 
-    # Phase 3 — replay every cell of every pair through one flat fan-out.
-    payloads = [
-        (bench, env, schedule, cache_dir, use_disk,
-         config.interrupt_interval)
-        for (bench, env), plan in zip(pairs, plans)
-        for schedule in plan
-    ]
-    outcomes = map_ordered(_cell_worker, payloads, config.jobs)
+    # Phase 3 — replay every pair's cells, one pair per task (the pair
+    # shares one leader run for its prefix snapshots).
+    replays = map_ordered(
+        _pair_worker,
+        [(bench, env, plan, cache_dir, use_disk, config.interrupt_interval)
+         for (bench, env), plan in zip(pairs, plans)],
+        config.jobs,
+    )
 
     # Phase 4 — certify differentially, shrink the failures.
     results: List[PairResult] = []
-    cursor = 0
-    for (bench, env), oracle, plan in zip(pairs, oracles, plans):
+    for (bench, env), oracle, outcomes in zip(pairs, oracles, replays):
         judged: List[Judged] = []
-        for schedule in plan:
-            outcome = outcomes[cursor]
-            cursor += 1
+        for outcome in outcomes:
             verdict, reason = certify_outcome(outcome, oracle)
             entry = Judged(outcome, verdict, reason)
             if verdict != "pass":

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import json
+import os
 from typing import Dict, Optional
 
 from repro import Machine, iclang
@@ -74,3 +78,48 @@ ALL_ENVIRONMENTS = (
 )
 
 INSTRUMENTED = tuple(e for e in ALL_ENVIRONMENTS if e != "plain")
+
+
+# ---------------------------------------------------------------------------
+# golden fixtures (tests/golden/)
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@functools.lru_cache(maxsize=None)
+def golden_generator(name: str):
+    """Import the fixture generator ``tests/golden/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(
+        f"golden_{name}", os.path.join(GOLDEN_DIR, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def golden_json(filename: str):
+    with open(os.path.join(GOLDEN_DIR, filename)) as handle:
+        return json.load(handle)
+
+
+def as_json(record):
+    """``record`` with the types a JSON fixture stores."""
+    return json.loads(json.dumps(record))
+
+
+def golden_run(name: str, war_check: bool = True) -> dict:
+    """The golden record of one ``bench/env/supply`` emulator case;
+    without WAR checking a run has no violations to compare."""
+    record = dict(golden_json("emulator_runs.json")[name])
+    if not war_check:
+        record.pop("violations")
+    return record
+
+
+def replay_run(name: str, war_check: bool = True) -> dict:
+    """Emulate one ``bench/env/supply`` case now, recorded like the fixture."""
+    bench, env, supply = name.split("/")
+    gen = golden_generator("generate_emulator")
+    return as_json(gen.run_case(bench, env, supply, war_check=war_check))

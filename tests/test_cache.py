@@ -12,6 +12,7 @@ import pytest
 from repro import iclang
 from repro.cache import (
     COMPILER_VERSION_TAG,
+    MEMORY_ENTRIES,
     CompileCache,
     cache_enabled,
     compile_key,
@@ -95,6 +96,29 @@ def test_cache_persists_across_instances(tmp_path):
     CompileCache(str(tmp_path)).put("run-abc", [1, 2, 3])
     fresh = CompileCache(str(tmp_path))
     assert fresh.get("run-abc") == [1, 2, 3]
+
+
+def test_memory_layer_is_a_bounded_lru(tmp_path):
+    # every cached program holds a 1 MiB memory image: a long-lived
+    # server must not keep all of them in process
+    program = iclang(SRC, "wario", cache=False)
+    cache = CompileCache(str(tmp_path))
+    keys = [f"program-{i}" for i in range(MEMORY_ENTRIES + 8)]
+    for key in keys:
+        cache.put(key, program)
+        cache.get(keys[0])          # recently used entries stay in memory
+    assert len(cache._memory) == MEMORY_ENTRIES
+    assert keys[0] in cache._memory
+    evicted = [key for key in keys if key not in cache._memory]
+    assert len(evicted) == 8 and keys[1] in evicted
+    hits = cache.hits
+    for key in evicted:             # still served, from disk
+        loaded = cache.get(key)
+        assert loaded is not program
+        assert loaded.initial_memory == program.initial_memory
+        assert len(loaded.instrs) == len(program.instrs)
+    assert cache.hits == hits + len(evicted)
+    assert len(cache._memory) == MEMORY_ENTRIES
 
 
 def test_corrupt_entry_is_a_miss_and_removed(tmp_path):

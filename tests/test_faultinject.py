@@ -29,6 +29,8 @@ from repro.faultinject import (
 )
 from repro.faultinject.campaign import _execute_oracle, _execute_schedule
 
+from helpers import as_json, golden_json
+
 
 # ---------------------------------------------------------------------------
 # SchedulePower
@@ -124,11 +126,10 @@ def test_supply_key_does_not_let_subclasses_alias_builtins():
 # ---------------------------------------------------------------------------
 
 
-def _traced_run(fast_interp, power=None):
+def _traced_run(power=None):
     program = compile_benchmark(BENCHMARKS["crc"], "wario", None, cache=False)
     trace = EventTrace()
-    machine = Machine(program, war_check=True, trace=trace,
-                      fast_interp=fast_interp)
+    machine = Machine(program, war_check=True, trace=trace)
     stats = machine.run(power=power,
                         max_instructions=BENCHMARKS["crc"].max_instructions)
     return trace, stats
@@ -141,7 +142,7 @@ def test_event_trace_requires_war_check():
 
 
 def test_oracle_harvest_records_checkpoints_and_windows():
-    trace, stats = _traced_run(fast_interp=True)
+    trace, stats = _traced_run()
     kinds = {e.kind for e in trace.events}
     assert kinds <= set(EVENT_KINDS)
     checkpoints = trace.of_kind("checkpoint")
@@ -154,15 +155,17 @@ def test_oracle_harvest_records_checkpoints_and_windows():
 
 
 @pytest.mark.parametrize("power_key", [None, "schedule-5000-2000-3000"])
-def test_event_trace_is_interpreter_independent(power_key):
+def test_event_trace_matches_reference_recording(power_key):
+    """The trace equals the one recorded with the retired per-instruction
+    interpreter (``tests/golden/event_traces.json``)."""
     power = power_from_key(power_key) if power_key else None
-    fast, fast_stats = _traced_run(True, power)
-    power = power_from_key(power_key) if power_key else None
-    ref, ref_stats = _traced_run(False, power)
-    assert fast.as_tuples() == ref.as_tuples()
-    assert fast_stats.cycles == ref_stats.cycles
+    trace, stats = _traced_run(power)
+    golden = golden_json("event_traces.json")[
+        f"crc/wario/{power_key or 'continuous'}"]
+    assert as_json(trace.as_tuples()) == golden["events"]
+    assert stats.cycles == golden["run"]["stats"]["cycles"]
     if power_key:
-        assert fast.of_kind("restore")         # the schedule really fired
+        assert trace.of_kind("restore")        # the schedule really fired
 
 
 # ---------------------------------------------------------------------------

@@ -370,12 +370,11 @@ def test_machine_records_final_region_cycles():
         return 0;
     }
     """
-    for fast in (True, False):
-        machine = Machine(iclang(src, "wario"), fast_interp=fast)
-        stats = machine.run()
-        assert stats.halted
-        assert stats.final_region_cycles > 0
-        assert stats.max_region_cycles >= stats.region_max
+    machine = Machine(iclang(src, "wario"))
+    stats = machine.run()
+    assert stats.halted
+    assert stats.final_region_cycles > 0
+    assert stats.max_region_cycles >= stats.region_max
 
 
 # ---------------------------------------------------------------------------
